@@ -17,7 +17,8 @@
 //!   [`EncodedDelta::accumulate_range_into`], which reproduces the
 //!   decode-then-add arithmetic bit for bit (see the determinism notes
 //!   on that method) using the AVX-dispatched scale-accumulate kernels
-//!   in [`taco_tensor::linalg`].
+//!   in [`taco_tensor::linalg`]. The 8-bit encoder runs on that
+//!   module's min/max-scan and `quantize8` kernels.
 //!
 //! Four codecs ship:
 //!
@@ -179,20 +180,30 @@ impl EncodedDelta {
     /// skipped): [`EncodedDelta::check_integrity`] is the rejection
     /// path, decode must not panic on hostile input.
     pub fn decode(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.dim());
+        self.decode_into(&mut out);
+        out
+    }
+
+    /// [`EncodedDelta::decode`] into `out`, which is resized to the
+    /// dimension and overwritten — its allocation is reused, so a
+    /// caller can decode in place into the buffer the delta was
+    /// encoded from.
+    pub fn decode_into(&self, out: &mut Vec<f32>) {
+        out.clear();
         match self {
-            EncodedDelta::Dense(v) => v.clone(),
+            EncodedDelta::Dense(v) => out.extend_from_slice(v),
             EncodedDelta::Sparse {
                 dim,
                 indices,
                 values,
             } => {
-                let mut out = vec![0.0f32; *dim];
+                out.resize(*dim, 0.0);
                 for (&i, &v) in indices.iter().zip(values) {
                     if let Some(slot) = out.get_mut(i as usize) {
                         *slot = v;
                     }
                 }
-                out
             }
             EncodedDelta::Q8 {
                 min,
@@ -200,14 +211,8 @@ impl EncodedDelta {
                 levels,
                 exceptions,
             } => {
-                let mut out: Vec<f32> =
-                    levels.iter().map(|&l| min + f32::from(l) * scale).collect();
-                for &(i, raw) in exceptions {
-                    if let Some(slot) = out.get_mut(i as usize) {
-                        *slot = raw;
-                    }
-                }
-                out
+                out.extend(levels.iter().map(|&l| min + f32::from(l) * scale));
+                patch_exceptions(out, exceptions);
             }
             EncodedDelta::Q4 {
                 dim,
@@ -216,17 +221,11 @@ impl EncodedDelta {
                 packed,
                 exceptions,
             } => {
-                let mut out = vec![0.0f32; *dim];
-                for (i, slot) in out.iter_mut().enumerate() {
+                out.extend((0..*dim).map(|i| {
                     let level = (packed.get(i / 2).copied().unwrap_or(0) >> ((i % 2) * 4)) & 0x0F;
-                    *slot = min + f32::from(level) * scale;
-                }
-                for &(i, raw) in exceptions {
-                    if let Some(slot) = out.get_mut(i as usize) {
-                        *slot = raw;
-                    }
-                }
-                out
+                    min + f32::from(level) * scale
+                }));
+                patch_exceptions(out, exceptions);
             }
         }
     }
@@ -253,9 +252,12 @@ impl EncodedDelta {
     /// vectorization cannot reorder any per-dimension arithmetic):
     ///
     /// - `Dense` runs [`linalg::scale_accumulate`] on the subslice.
-    /// - `Q8`/`Q4` run the fused dequantize-accumulate kernels over
-    ///   the level buffer, splitting around in-range escape entries so
+    /// - `Q8` runs the fused dequantize-accumulate kernel over the
+    ///   level buffer, splitting around in-range escape entries so
     ///   each escaped dimension contributes its raw value exactly once.
+    /// - `Q4` decodes fixed-size stack chunks (escapes patched in) and
+    ///   runs [`linalg::scale_accumulate`] on each: a fused nibble
+    ///   kernel measured 2–3× slower than this dense fold.
     /// - `Sparse` adds only the stored coordinates. Skipping the zero
     ///   coordinates is exact: the accumulator starts at `+0.0` and a
     ///   finite IEEE sum can only become `−0.0` when every addend is
@@ -331,32 +333,64 @@ impl EncodedDelta {
                 exceptions,
                 ..
             } => {
+                // Nibble extraction does not vectorize, so decode into a
+                // stack chunk and run the dense fold over it: the exact
+                // decode-then-add arithmetic, at the dense fold's speed.
+                let mut buf = [0.0f32; Q4_FOLD_CHUNK];
+                let first = exceptions.partition_point(|&(i, _)| (i as usize) < range.start);
+                let mut pending = exceptions[first..].iter().peekable();
                 let mut start = range.start;
-                for &(i, raw) in exceptions {
-                    let i = i as usize;
-                    if i < range.start || i >= range.end {
-                        continue;
+                while start < range.end {
+                    let end = (start + Q4_FOLD_CHUNK).min(range.end);
+                    let chunk = &mut buf[..end - start];
+                    unpack4(chunk, packed, start, *min, *scale);
+                    while let Some(&(i, raw)) = pending.next_if(|&&(i, _)| (i as usize) < end) {
+                        chunk[i as usize - start] = raw;
                     }
-                    linalg::dequant4_accumulate(
-                        &mut acc[start - range.start..i - range.start],
-                        packed,
-                        start,
-                        *min,
-                        *scale,
+                    linalg::scale_accumulate(
+                        &mut acc[start - range.start..end - range.start],
+                        chunk,
                         w,
                     );
-                    acc[i - range.start] += w * f64::from(raw);
-                    start = i + 1;
+                    start = end;
                 }
-                linalg::dequant4_accumulate(
-                    &mut acc[start - range.start..],
-                    packed,
-                    start,
-                    *min,
-                    *scale,
-                    w,
-                );
             }
+        }
+    }
+}
+
+/// Coordinates per stack chunk of the Q4 fold in
+/// [`EncodedDelta::accumulate_range_into`] (4 KiB of `f32`).
+const Q4_FOLD_CHUNK: usize = 1024;
+
+/// Writes `min + level · scale` for the nibble levels of coordinates
+/// `first .. first + out.len()` — [`EncodedDelta::decode`]'s
+/// arithmetic, one whole byte (two coordinates) per step.
+fn unpack4(out: &mut [f32], packed: &[u8], first: usize, min: f32, scale: f32) {
+    let value = |level: u8| min + f32::from(level) * scale;
+    // An odd start reads the high nibble of its byte on its own.
+    let (head, body) = out.split_at_mut(usize::from(first % 2 == 1).min(out.len()));
+    if let Some(h) = head.first_mut() {
+        *h = value(packed[first / 2] >> 4);
+    }
+    let base = first.div_ceil(2);
+    let last_byte = base + body.len() / 2;
+    let mut pairs = body.chunks_exact_mut(2);
+    for (pair, &byte) in (&mut pairs).zip(&packed[base..]) {
+        pair[0] = value(byte & 0x0F);
+        pair[1] = value(byte >> 4);
+    }
+    if let [last] = pairs.into_remainder() {
+        *last = value(packed[last_byte] & 0x0F);
+    }
+}
+
+/// Overwrites the escaped coordinates of a decoded vector with their
+/// raw values, skipping out-of-range indices (decode is defensive).
+fn patch_exceptions(out: &mut [f32], exceptions: &[(u32, f32)]) {
+    for &(i, raw) in exceptions {
+        if let Some(slot) = out.get_mut(i as usize) {
+            *slot = raw;
         }
     }
 }
@@ -372,6 +406,24 @@ pub trait Compressor: Send + Sync {
     /// deterministic codecs ignore it.
     fn encode(&self, input: &[f32], stream: &mut Prng) -> EncodedDelta;
 
+    /// [`Compressor::encode`], writing the per-coordinate level bytes
+    /// (if the codec has any) into `payload`, whose allocation is
+    /// reused. Lets a caller that encodes on worker threads allocate
+    /// every buffer that outlives the dispatch on its own thread. The
+    /// encoding is identical to [`Compressor::encode`]'s.
+    fn encode_with(&self, input: &[f32], stream: &mut Prng, payload: Vec<u8>) -> EncodedDelta {
+        drop(payload);
+        self.encode(input, stream)
+    }
+
+    /// Level bytes [`Compressor::encode_with`] writes for a
+    /// `dim`-coordinate input: the capacity to give its `payload`
+    /// (0 for codecs without a byte payload).
+    fn payload_len(&self, dim: usize) -> usize {
+        let _ = dim;
+        0
+    }
+
     /// Encode-then-decode convenience: the lossy vector the receiver
     /// reconstructs. Kept for error measurement and tests — the
     /// simulation pipeline carries the [`EncodedDelta`] itself.
@@ -383,7 +435,8 @@ pub trait Compressor: Send + Sync {
 /// Finite-only (min, max) of a slice; `(∞, −∞)` when no coordinate is
 /// finite. Unlike [`ops::min_max`], an `∞` input cannot poison the
 /// quantization range — non-finite coordinates travel as escape
-/// entries instead.
+/// entries instead. The scalar fold of `Uniform8Bit::encode_reference`;
+/// the encoders use the vectorized [`linalg::finite_min_max`].
 fn finite_min_max(xs: &[f32]) -> (f32, f32) {
     let mut min = f32::INFINITY;
     let mut max = f32::NEG_INFINITY;
@@ -479,12 +532,14 @@ impl Compressor for TopK {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Uniform8Bit;
 
-impl Compressor for Uniform8Bit {
-    fn name(&self) -> &'static str {
-        "uniform-8bit"
-    }
-
-    fn encode(&self, input: &[f32], _stream: &mut Prng) -> EncodedDelta {
+impl Uniform8Bit {
+    /// The original single-pass scalar encoder, frozen as the
+    /// differential reference for the kernel-based
+    /// [`Compressor::encode`] (as `linalg::matmul_naive` is for the
+    /// blocked matmul), and its fallback when the top level's
+    /// reconstruction overflows `f32`: every coordinate is checked on
+    /// its own there.
+    fn encode_reference(input: &[f32]) -> EncodedDelta {
         let (lo, hi) = finite_min_max(input);
         let (min, scale) = if lo > hi {
             // No finite coordinate at all: every entry is an escape.
@@ -524,6 +579,62 @@ impl Compressor for Uniform8Bit {
     }
 }
 
+impl Compressor for Uniform8Bit {
+    fn name(&self) -> &'static str {
+        "uniform-8bit"
+    }
+
+    fn encode(&self, input: &[f32], stream: &mut Prng) -> EncodedDelta {
+        self.encode_with(input, stream, Vec::new())
+    }
+
+    /// Two kernel passes — [`linalg::finite_min_max`], then
+    /// [`linalg::quantize8`] — bit-identical to
+    /// `Uniform8Bit::encode_reference`. The reference's per-coordinate
+    /// overflow check is hoisted: `min + level · scale` grows with the
+    /// level, so when level 255 reconstructs finitely every level does.
+    /// Non-finite coordinates are escaped in a second pass that runs
+    /// only when the scan saw one.
+    fn encode_with(&self, input: &[f32], _stream: &mut Prng, payload: Vec<u8>) -> EncodedDelta {
+        let range = linalg::finite_min_max(input);
+        if range.min > range.max {
+            // No finite coordinate at all: every entry is an escape.
+            return Self::encode_reference(input);
+        }
+        let min = range.min;
+        // f64 step: `hi - lo` can overflow f32 (see encode_reference).
+        let scale = ((f64::from(range.max) - f64::from(min)) / 255.0) as f32;
+        if !(min + 255.0 * scale).is_finite() {
+            return Self::encode_reference(input);
+        }
+        let mut levels = payload;
+        levels.clear();
+        levels.resize(input.len(), 0);
+        if scale > 0.0 {
+            linalg::quantize8(&mut levels, input, min, scale);
+        }
+        let mut exceptions = Vec::new();
+        if range.has_non_finite {
+            for (i, &x) in input.iter().enumerate() {
+                if !x.is_finite() {
+                    exceptions.push((i as u32, x));
+                    levels[i] = 0;
+                }
+            }
+        }
+        EncodedDelta::Q8 {
+            min,
+            scale,
+            levels,
+            exceptions,
+        }
+    }
+
+    fn payload_len(&self, dim: usize) -> usize {
+        dim
+    }
+}
+
 /// Per-vector affine 4-bit quantization with seeded *stochastic*
 /// rounding: a coordinate at fractional level `t` rounds up with
 /// probability `t − ⌊t⌋`, so `E[decode(x)] = x` — unbiased, which
@@ -540,15 +651,24 @@ impl Compressor for Stochastic4Bit {
     }
 
     fn encode(&self, input: &[f32], stream: &mut Prng) -> EncodedDelta {
+        self.encode_with(input, stream, Vec::new())
+    }
+
+    fn encode_with(&self, input: &[f32], stream: &mut Prng, payload: Vec<u8>) -> EncodedDelta {
         let dim = input.len();
-        let (lo, hi) = finite_min_max(input);
-        let (min, scale) = if lo > hi {
+        let range = linalg::finite_min_max(input);
+        let (min, scale) = if range.min > range.max {
             (0.0, 0.0)
         } else {
             // f64 step: `hi - lo` can overflow f32 (see Uniform8Bit).
-            (lo, ((f64::from(hi) - f64::from(lo)) / 15.0) as f32)
+            (
+                range.min,
+                ((f64::from(range.max) - f64::from(range.min)) / 15.0) as f32,
+            )
         };
-        let mut packed = vec![0u8; dim.div_ceil(2)];
+        let mut packed = payload;
+        packed.clear();
+        packed.resize(self.payload_len(dim), 0);
         let mut exceptions = Vec::new();
         for (i, &x) in input.iter().enumerate() {
             let mut level = 0u8;
@@ -579,6 +699,10 @@ impl Compressor for Stochastic4Bit {
             packed,
             exceptions,
         }
+    }
+
+    fn payload_len(&self, dim: usize) -> usize {
+        dim.div_ceil(2)
     }
 }
 
@@ -882,6 +1006,120 @@ mod tests {
         );
     }
 
+    /// Sixteen coordinates whose zero extremum first appears as
+    /// `sign · 0.0` in lane 1, then with the other sign in lane 0: an
+    /// eight-lane fold that ignored index order would return the
+    /// lane-0 zero.
+    fn zero_in_a_later_lane(sign: f32) -> Vec<f32> {
+        let mut v: Vec<f32> = (1..=16).map(|k| sign * k as f32).collect();
+        v[1] = sign * 0.0;
+        v[8] = -sign * 0.0;
+        v
+    }
+
+    /// Bit patterns of a Q8 encoding: `PartialEq` on `EncodedDelta`
+    /// says NaN ≠ NaN, so escapes and headers compare by `to_bits`.
+    fn q8_bits(enc: &EncodedDelta) -> (u32, u32, Vec<u8>, Vec<(u32, u32)>) {
+        match enc {
+            EncodedDelta::Q8 {
+                min,
+                scale,
+                levels,
+                exceptions,
+            } => (
+                min.to_bits(),
+                scale.to_bits(),
+                levels.clone(),
+                exceptions.iter().map(|&(i, x)| (i, x.to_bits())).collect(),
+            ),
+            other => panic!("expected a Q8 encoding, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn kernel_q8_encoder_matches_the_frozen_scalar_encoder_bitwise() {
+        let mut rng = Prng::seed_from_u64(41);
+        // Range [0, 255] makes the step exactly 1, so k + 0.5 is an
+        // exact half-level tie (rounds away from zero).
+        let mut ties: Vec<f32> = vec![0.0, 255.0];
+        ties.extend((0..255).map(|k| k as f32 + 0.5));
+        let mut cases: Vec<Vec<f32>> = vec![
+            vec![],
+            vec![3.25],
+            vec![-1.5; 13],
+            vec![0.0; 9],
+            ties,
+            // ±0 minima and maxima, in both orders and across lanes
+            // (the first zero in a later lane than the other sign's).
+            vec![-0.0, 1.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 0.0],
+            vec![1.0, 0.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, -0.0, 8.0],
+            zero_in_a_later_lane(1.0),
+            zero_in_a_later_lane(-1.0),
+            vec![-3.0, -2.0, -1.0, -0.5, -0.25, -0.125, 0.0, -0.0, -0.0],
+            vec![-0.0, 0.0, -0.0, 0.0],
+            // Non-finite escapes, alone and mixed.
+            vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY],
+            vec![
+                0.5,
+                f32::NAN,
+                -0.25,
+                f32::INFINITY,
+                0.75,
+                f32::NEG_INFINITY,
+                0.0,
+            ],
+            // Extreme ranges: the top level's reconstruction overflows,
+            // forcing the per-element fallback.
+            vec![-2e38, 2e38, 0.0, 1e38, -1e38, 1.9e38, f32::NAN],
+            vec![f32::MIN, f32::MAX, 1.0],
+            vec![-2e38, -1e38, 0.0, 3.0],
+        ];
+        for len in [1usize, 7, 8, 9, 63, 1000, 4097] {
+            cases.push(
+                (0..len)
+                    .map(|_| match rng.below(40) {
+                        0 => f32::NAN,
+                        1 => f32::INFINITY,
+                        2 => -0.0,
+                        3 => 0.0,
+                        _ => rng.normal_f32() * 0.01,
+                    })
+                    .collect(),
+            );
+            cases.push((0..len).map(|_| rng.normal_f32()).collect());
+        }
+        for xs in &cases {
+            let want = q8_bits(&Uniform8Bit::encode_reference(xs));
+            assert_eq!(
+                q8_bits(&Uniform8Bit.encode(xs, &mut stream())),
+                want,
+                "{xs:?}"
+            );
+            // A reused payload buffer (dirty, wrongly sized) changes
+            // nothing.
+            let payload = vec![0xAB; xs.len() / 2 + 3];
+            let reused = Uniform8Bit.encode_with(xs, &mut stream(), payload);
+            assert_eq!(q8_bits(&reused), want, "reused payload, {xs:?}");
+        }
+    }
+
+    #[test]
+    fn decode_into_reuses_the_buffer_and_matches_decode() {
+        let mut rng = Prng::seed_from_u64(42);
+        let x: Vec<f32> = (0..301).map(|_| rng.normal_f32()).collect();
+        for name in ["none", "topk", "q8", "q4"] {
+            let enc = codec_by_name(name).unwrap().encode(&x, &mut stream());
+            // Start from a dirty buffer of another length.
+            let mut out = vec![7.0f32; 5];
+            enc.decode_into(&mut out);
+            let want = enc.decode();
+            assert_eq!(out.len(), want.len(), "{name}");
+            for (a, b) in out.iter().zip(&want) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{name}");
+            }
+        }
+    }
+
     #[test]
     fn extreme_range_inputs_never_fabricate_non_finite_values() {
         // `hi - lo` overflows f32 here: the quantization step must be
@@ -902,8 +1140,9 @@ mod tests {
             // endpoint exactly, and billing reflects it.
             assert_eq!(out[0], f32::MAX, "{}", c.name());
             let escapes = match &enc {
-                EncodedDelta::Q8 { exceptions, .. }
-                | EncodedDelta::Q4 { exceptions, .. } => exceptions.len(),
+                EncodedDelta::Q8 { exceptions, .. } | EncodedDelta::Q4 { exceptions, .. } => {
+                    exceptions.len()
+                }
                 _ => unreachable!(),
             };
             assert!(escapes >= 1, "{}", c.name());
@@ -957,11 +1196,20 @@ mod tests {
     #[test]
     fn accumulate_into_matches_decode_then_add_bitwise() {
         let mut rng = Prng::seed_from_u64(8);
-        let dim = 1003;
+        // Longer than two Q4 fold chunks, so ranges cross chunk edges.
+        let dim = 2503;
         let mut x = Tensor::randn([dim], 1.0, &mut rng).into_vec();
-        // Exercise the escape-splitting paths too.
-        x[17] = f32::NAN;
-        x[900] = f32::INFINITY;
+        // Exercise the escape-splitting paths too, including escapes
+        // on both sides of a Q4 fold-chunk boundary.
+        for (i, v) in [
+            (17, f32::NAN),
+            (900, f32::INFINITY),
+            (1023, f32::NEG_INFINITY),
+            (1024, f32::NAN),
+            (1358, f32::NAN),
+        ] {
+            x[i] = v;
+        }
         for c in [
             &NoCompression as &dyn Compressor,
             &TopK::new(0.1),
@@ -981,7 +1229,7 @@ mod tests {
                 // Ragged shard split at awkward boundaries (odd split
                 // points cross the Q4 nibble parity).
                 let mut split = vec![0.0f64; dim];
-                for (start, end) in [(0usize, 333usize), (333, 334), (334, 1003)] {
+                for (start, end) in [(0usize, 333usize), (333, 334), (334, 1501), (1501, dim)] {
                     enc.accumulate_range_into(start..end, &mut split[start..end], w);
                 }
                 for (i, ((p, q), r)) in got.iter().zip(&want).zip(&split).enumerate() {

@@ -138,9 +138,11 @@ impl AggregationBackend for SequentialBackend {
     }
 }
 
-/// Deltas shorter than this run the shard accumulation inline — the
-/// pool dispatch overhead outweighs striped writes on tiny models.
-const PARALLEL_DIM_FLOOR: usize = 16_384;
+/// Deltas shorter than this run per-upload and per-shard server work
+/// inline — the shard accumulation here and the upload codec stage in
+/// `server` — since the pool dispatch overhead outweighs the work on
+/// tiny models.
+pub(crate) const PARALLEL_DIM_FLOOR: usize = 16_384;
 
 /// Per-model sharded state, sized lazily from the first round's global
 /// parameter length.

@@ -14,9 +14,11 @@ pub const ROUND: &str = "sim.round";
 pub const PARTICIPATION: &str = "sim.phase.participation";
 /// Local client training (all clients of the round).
 pub const LOCAL: &str = "sim.phase.local";
-/// Lossy upload compression + byte accounting.
+/// Lossy upload compression + byte accounting, wire corruption, and
+/// server-side validation/quarantine (the compress/validate phase).
 pub const COMPRESS: &str = "sim.phase.compress";
-/// Server-side aggregation.
+/// Server-side aggregation: the backend accepting the validated
+/// uploads and finishing the round.
 pub const AGGREGATE: &str = "sim.phase.aggregate";
 /// Shard accumulation/merge work inside the sharded backend (per
 /// accepted upload while accumulating, and once inside [`AGGREGATE`]

@@ -612,8 +612,8 @@ impl Simulation {
                 }
             }
             // The server pipeline (stragglers, deadline, compression,
-            // corruption, validation) hands every survivor to the
-            // aggregation backend in client order; see
+            // corruption, validation) returns the survivors, which the
+            // aggregation backend accepts in client order; see
             // [`crate::server`].
             let outcome = crate::server::process_uploads(
                 &self.config,
@@ -633,14 +633,14 @@ impl Simulation {
             // quarantined) holds the global model and is still
             // recorded, so the trajectory keeps its round indexing.
             let aggregate_span = trace::Span::quiet(crate::phase::AGGREGATE);
+            for u in outcome.accepted {
+                self.backend.accept_update(u);
+            }
             let agg = self
                 .backend
                 .finish_round(&global, &hyper, self.algorithm.as_mut());
             let updates = agg.updates;
             let next = agg.next_global.unwrap_or_else(|| global.clone());
-            let aggregate_secs = aggregate_span.finish();
-            prev_global = global;
-            global = next;
             // Metrics. Rounds without an honest participant carry the
             // previous train loss forward (a 0.0 would plot as a
             // perfect loss) and are marked as carried.
@@ -661,6 +661,14 @@ impl Simulation {
                 .map(|u| u.compute_seconds)
                 .fold(0.0, f64::max);
             let total_secs: f64 = updates.iter().map(|u| u.compute_seconds).sum();
+            let clients_active = updates.len();
+            // Retiring the round's uploads frees every delta and
+            // encoding (milliseconds on wide models): server work, so
+            // it is timed with the aggregate phase.
+            drop(updates);
+            let aggregate_secs = aggregate_span.finish();
+            prev_global = global;
+            global = next;
             let evaluate_now =
                 round % self.config.eval_every == 0 || round + 1 == self.config.rounds;
             let eval_span = trace::Span::quiet(crate::phase::EVAL);
@@ -690,7 +698,7 @@ impl Simulation {
                 let mut event = trace::Event::new("round")
                     .with("round", round)
                     .with("algorithm", history.algorithm.as_str())
-                    .with("clients_active", updates.len())
+                    .with("clients_active", clients_active)
                     .with("clients_skipped", skipped)
                     .with("expelled", expelled_now)
                     .with("faults_injected", faults_injected)

@@ -5,25 +5,31 @@
 //! validation/quarantine.
 //!
 //! The pipeline runs strictly *before* the backend's `accept_update`
-//! (see [`crate::AggregationBackend`]), so backends may start
-//! accumulating eagerly: an upload that reaches `accept_update` is
-//! final for the round.
+//! (see [`crate::AggregationBackend`]): it returns the validated
+//! survivors and the runner hands them over inside the aggregate
+//! phase, so backends may start accumulating eagerly — an upload that
+//! reaches `accept_update` is final for the round.
 
-use crate::backend::AggregationBackend;
+use crate::backend::{AggregationBackend, PARALLEL_DIM_FLOOR};
 use crate::fault::FaultKind;
 use crate::runner::SimConfig;
+use taco_core::compress::{codec_stream, Compressor, EncodedDelta};
 use taco_core::{ClientUpdate, FederatedAlgorithm};
+use taco_tensor::pool;
 use taco_trace as trace;
 
 /// What the pipeline did to a round's uploads.
 pub(crate) struct UploadOutcome {
+    /// The validated uploads, in client order, for the backend's
+    /// `accept_update`.
+    pub(crate) accepted: Vec<ClientUpdate>,
     /// Accounted wire bytes for the uploads that arrived.
     pub(crate) upload_bytes: usize,
     /// Uploads cut by the synchronous deadline.
     pub(crate) deadline_cuts: usize,
     /// Uploads quarantined by validation.
     pub(crate) quarantined: usize,
-    /// Seconds spent in the compression phase span.
+    /// Seconds spent in the compress/validate phase span.
     pub(crate) compress_secs: f64,
 }
 
@@ -35,8 +41,8 @@ impl UploadOutcome {
 }
 
 /// Runs the pipeline over this round's raw uploads (already sorted in
-/// client order) and hands each survivor to the backend; quarantined
-/// uploads are reported through the backend instead.
+/// client order) and returns the survivors for the backend;
+/// quarantined uploads are reported through the backend instead.
 pub(crate) fn process_uploads(
     config: &SimConfig,
     fault_of: &[Option<FaultKind>],
@@ -82,41 +88,27 @@ pub(crate) fn process_uploads(
             });
         }
     }
-    // Lossy upload compression + byte accounting. Each client encodes
-    // with a salted per-(round, client) rounding stream, wire bytes
-    // are measured from the actual encoding, and — when a fault plan
-    // is active — wire corruption is applied to the *encoded* payload
-    // (an index, a value slot, or the scale header), since that is
-    // what travels. The update then carries both the encoding (for
-    // decode-free aggregation and integrity validation) and the
-    // decoded lossy delta (for algorithms and norm checks).
+    // Lossy upload compression + byte accounting, then validation —
+    // one phase span (compress/validate). Wire bytes are measured from
+    // the actual encodings; see `encode_uploads` for the wire leg.
     let compress_span = trace::Span::quiet(crate::phase::COMPRESS);
     let upload_bytes: usize = match &config.upload_compressor {
         Some(c) => {
-            let mut bytes = 0;
-            for u in &mut updates {
-                let mut stream = taco_core::compress::codec_stream(config.seed, round, u.client);
-                let mut enc = c.encode(&u.delta, &mut stream);
-                if config.fault_plan.is_some() {
-                    if let Some(FaultKind::Corrupt(corruption)) = fault_of[u.client] {
-                        crate::fault::apply_corruption_encoded(&mut enc, corruption);
-                    }
-                }
-                bytes += enc.wire_bytes();
-                u.delta = enc.decode();
-                u.encoded = Some(enc);
-            }
-            bytes
+            encode_uploads(c.as_ref(), config, fault_of, round, &mut updates);
+            updates
+                .iter()
+                .filter_map(|u| u.encoded.as_ref())
+                .map(EncodedDelta::wire_bytes)
+                .sum()
         }
         None => updates.iter().map(|u| u.delta.len() * 4).sum(),
     };
-    let compress_secs = compress_span.finish();
     trace::counter("sim.upload_bytes").add(upload_bytes as u64);
     // The server quarantines anything malformed, non-finite, or
     // norm-exploded before the backend sees it and reports the
     // offender to the algorithm's freeloader-detection machinery.
     // Quarantined uploads did arrive, so their bytes stay counted.
-    if let Some(plan) = &config.fault_plan {
+    let accepted = if let Some(plan) = &config.fault_plan {
         // Uncompressed runs corrupt the dense floats directly (there
         // is no other wire representation to damage).
         if config.upload_compressor.is_none() {
@@ -126,9 +118,10 @@ pub(crate) fn process_uploads(
                 }
             }
         }
+        let mut accepted = Vec::with_capacity(updates.len());
         for u in updates {
             match plan.validation.validate(&u) {
-                Ok(()) => backend.accept_update(u),
+                Ok(()) => accepted.push(u),
                 Err(reason) => {
                     quarantined += 1;
                     trace::counter("sim.faults.rejected").incr();
@@ -145,15 +138,68 @@ pub(crate) fn process_uploads(
                 }
             }
         }
+        accepted
     } else {
-        for u in updates {
-            backend.accept_update(u);
-        }
-    }
+        updates
+    };
+    let compress_secs = compress_span.finish();
     UploadOutcome {
+        accepted,
         upload_bytes,
         deadline_cuts,
         quarantined,
         compress_secs,
+    }
+}
+
+/// The wire leg of every upload: encode with the salted
+/// per-`(round, client)` rounding stream, apply wire corruption to the
+/// *encoded* payload when a fault plan is active (an index, a value
+/// slot, or the scale header — that is what travels), and decode in
+/// place into `delta`. The update then carries both the encoding (for
+/// decode-free aggregation and integrity validation) and the decoded
+/// lossy delta (for algorithms and norm checks).
+///
+/// Each upload's leg is a pure function of `(seed, round, client,
+/// delta)`, so the uploads run in parallel on the worker pool — one
+/// task each — when the model reaches [`PARALLEL_DIM_FLOOR`]; below
+/// it the pool dispatch costs more than it saves and they run inline.
+/// Every buffer that outlives the dispatch is allocated here, on the
+/// dispatching thread: the decode reuses `delta`'s allocation and the
+/// level payload is reserved up front. (Buffers allocated on workers
+/// land in per-thread malloc arenas and measurably raised peak RSS.)
+fn encode_uploads(
+    codec: &dyn Compressor,
+    config: &SimConfig,
+    fault_of: &[Option<FaultKind>],
+    round: usize,
+    updates: &mut [ClientUpdate],
+) {
+    let (seed, corrupt) = (config.seed, config.fault_plan.is_some());
+    let dim = updates.first().map_or(0, |u| u.delta.len());
+    let mut cells: Vec<(&mut ClientUpdate, Vec<u8>)> = updates
+        .iter_mut()
+        .map(|u| {
+            let payload = Vec::with_capacity(codec.payload_len(u.delta.len()));
+            (u, payload)
+        })
+        .collect();
+    let wire_leg = |_: usize, cells: &mut [(&mut ClientUpdate, Vec<u8>)]| {
+        for (u, payload) in cells {
+            let mut stream = codec_stream(seed, round, u.client);
+            let mut enc = codec.encode_with(&u.delta, &mut stream, std::mem::take(payload));
+            if corrupt {
+                if let Some(FaultKind::Corrupt(corruption)) = fault_of[u.client] {
+                    crate::fault::apply_corruption_encoded(&mut enc, corruption);
+                }
+            }
+            enc.decode_into(&mut u.delta);
+            u.encoded = Some(enc);
+        }
+    };
+    if dim >= PARALLEL_DIM_FLOOR && pool::effective_parallelism() > 1 {
+        pool::for_each_chunk(&mut cells, 1, wire_leg);
+    } else {
+        wire_leg(0, &mut cells);
     }
 }

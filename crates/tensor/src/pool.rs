@@ -153,27 +153,31 @@ impl Pool {
             next: AtomicUsize::new(0),
             tasks,
             run: &f,
-            completed_helpers: Mutex::new(0),
-            helper_done: Condvar::new(),
         };
+        let latch = Arc::new(Latch::default());
         // Helpers beyond `tasks − 1` could never claim anything.
         let helpers = (self.threads - 1).min(tasks - 1);
         let batch = self.next_batch.fetch_add(1, Ordering::Relaxed);
         // SAFETY (lifetime erasure): the raw context pointer handed to
         // helper jobs is only dereferenced by jobs of this batch, and
-        // this function does not return until every such job has either
-        // been cancelled (removed from the queue before starting) or
-        // has signalled completion — `ctx` outlives all uses.
+        // only until their claim loop ends; this function does not
+        // return until every such job has either been cancelled
+        // (removed from the queue before starting) or has arrived at
+        // the latch after its claim loop — `ctx` outlives all uses.
         let raw = RawCtx(&ctx as *const DispatchCtx<'_, F> as usize);
         {
             let mut st = lock(&self.shared.state);
             for _ in 0..helpers {
                 let raw = RawCtx(raw.0);
+                let latch = Arc::clone(&latch);
                 st.jobs.push_back(Queued {
                     batch,
-                    // SAFETY: per the lifetime-erasure argument above,
-                    // `ctx` outlives every job queued for this batch.
-                    job: Box::new(move || unsafe { helper_entry::<F>(raw) }),
+                    job: Box::new(move || {
+                        // SAFETY: per the lifetime-erasure argument
+                        // above, `ctx` outlives this call.
+                        unsafe { helper_entry::<F>(raw) };
+                        latch.arrive();
+                    }),
                 });
             }
         }
@@ -188,14 +192,7 @@ impl Pool {
             st.jobs.retain(|q| q.batch != batch);
             before - st.jobs.len()
         };
-        let live = helpers - removed;
-        let mut done = lock(&ctx.completed_helpers);
-        while *done < live {
-            done = ctx
-                .helper_done
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        latch.wait_for(helpers - removed);
     }
 
     /// Splits `data` into consecutive chunks of `chunk_len` elements
@@ -244,8 +241,38 @@ struct DispatchCtx<'a, F> {
     next: AtomicUsize,
     tasks: usize,
     run: &'a F,
-    completed_helpers: Mutex<usize>,
-    helper_done: Condvar,
+}
+
+/// Counts the helpers of one dispatch that finished their claim loop.
+/// Shared through an `Arc` rather than kept in the dispatcher's
+/// [`DispatchCtx`]: a helper's arrival is the last thing it does, and
+/// the dispatcher may return — freeing its frame — the moment the
+/// count is complete, so the signal must touch memory the helper
+/// co-owns.
+#[derive(Default)]
+struct Latch {
+    arrived: Mutex<usize>,
+    all_arrived: Condvar,
+}
+
+impl Latch {
+    fn arrive(&self) {
+        let mut arrived = lock(&self.arrived);
+        *arrived += 1;
+        // Notify before unlocking: once the waiter can see the full
+        // count, this helper has nothing left to do but unlock.
+        self.all_arrived.notify_all();
+    }
+
+    fn wait_for(&self, helpers: usize) {
+        let mut arrived = lock(&self.arrived);
+        while *arrived < helpers {
+            arrived = self
+                .all_arrived
+                .wait(arrived)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
 }
 
 impl<F: Fn(usize) + Sync> DispatchCtx<'_, F> {
@@ -265,21 +292,21 @@ impl<F: Fn(usize) + Sync> DispatchCtx<'_, F> {
 #[derive(Clone, Copy)]
 struct RawCtx(usize);
 
+/// Runs a helper's share of the claim loop. The caller signals the
+/// dispatch's [`Latch`] afterwards; nothing touches `ctx` after this
+/// returns.
+///
 /// # Safety
 ///
 /// `raw` must point at a live `DispatchCtx<F>` with the same `F` —
 /// guaranteed by [`Pool::for_each_index`], which queues helpers only
 /// for its own batch and does not return until each has been cancelled
-/// or has signalled completion.
+/// or has arrived at the latch.
 unsafe fn helper_entry<F: Fn(usize) + Sync>(raw: RawCtx) {
     // SAFETY: per the function contract, `raw` points at a live
     // `DispatchCtx<F>` for the whole call.
     let ctx = unsafe { &*(raw.0 as *const DispatchCtx<'_, F>) };
     ctx.claim_loop();
-    let mut done = lock(&ctx.completed_helpers);
-    *done += 1;
-    drop(done);
-    ctx.helper_done.notify_all();
 }
 
 /// Raw pointer wrapper asserting cross-thread use is sound because all
@@ -489,6 +516,24 @@ mod tests {
         pool.for_each_chunk(&mut data, 10, |_, c| c.fill(1));
         drop(pool);
         assert!(data.iter().all(|&x| x == 1));
+    }
+
+    #[test]
+    fn back_to_back_two_task_dispatches_complete() {
+        // Each dispatch hands one task to the helper, whose completion
+        // signal races with the dispatcher returning and reusing its
+        // stack frame for the next dispatch's context — the window of
+        // the old notify-after-unlock use-after-free. Miri interprets
+        // every access, so it runs a shorter loop.
+        let rounds = if cfg!(miri) { 200 } else { 100_000 };
+        let pool = Pool::new(2);
+        let hits = AtomicU32::new(0);
+        for _ in 0..rounds {
+            pool.for_each_index(2, |_| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(hits.load(Ordering::Relaxed), 2 * rounds);
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   and counted in `updates_rejected`;
 //! - a `NoCompression` run proving the codec plumbing is inert — its
 //!   history is bit-identical to a codec-free run, so the committed
-//!   goldens stay valid.
+//!   goldens stay valid;
+//! - runs of a model wide enough for the server's per-upload codec
+//!   stage to go parallel, with corruption faults, bit-identical at
+//!   threads {1, 2, 4}.
 //!
 //! CI runs this suite once per codec with `TACO_CODEC` pinned (like
 //! the `TACO_BACKEND` matrix); locally, with the variable unset, every
@@ -26,12 +29,16 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_values_close, golden_run, golden_run_configured, history_value};
+use common::{assert_values_close, golden_run, golden_run_configured, history_value, tabular_fed};
 use taco::core::compress::{
     codec_by_name, codec_from_env, codec_stream, Compressor, EncodedDelta, NoCompression,
 };
-use taco::core::{AggWeighting, ClientUpdate, FedAvg};
-use taco::sim::{BackendChoice, FaultPlan, RejectReason, ValidationPolicy};
+use taco::core::taco::TacoConfig;
+use taco::core::{AggWeighting, ClientUpdate, FedAvg, HyperParams, Taco};
+use taco::nn::{Mlp, Model};
+use taco::sim::{
+    BackendChoice, FaultPlan, History, RejectReason, SimConfig, Simulation, ValidationPolicy,
+};
 use taco::tensor::pool::{self, Pool};
 use taco::tensor::shard::{ShardSpec, StripedTable};
 use taco::tensor::{Prng, Tensor};
@@ -204,6 +211,69 @@ fn corrupted_encodings_are_quarantined_and_counted() {
                 codec.name(),
                 r.round
             );
+        }
+    }
+}
+
+/// A TACO run whose model (17 410 parameters) crosses the server's
+/// 16 384-dimension parallel floor, so with more than one pool thread
+/// every upload's encode → corrupt → decode leg runs on the pool.
+/// Corruption hits 40 % of uploads; the norm bound catches the scaled
+/// payloads while honest deltas pass.
+fn wide_codec_run(codec: &Arc<dyn Compressor>, threads: usize) -> History {
+    let pool = Pool::new(threads);
+    pool::with_pool(&pool, || {
+        let clients = 4;
+        let fed = tabular_fed(clients, 11, 0.3);
+        let mut rng = Prng::seed_from_u64(11);
+        let mut model = Mlp::new(14, &[1024], 2, &mut rng);
+        assert!(model.params().len() >= 16_384, "model below the floor");
+        let config = SimConfig::new(HyperParams::new(clients, 3, 0.05, 16), 4, 11)
+            .with_backend(BackendChoice::Sharded { shards: 3 })
+            .with_compressor(codec.clone())
+            .with_fault_plan(
+                FaultPlan::new()
+                    .with_corruption(0.4, 1e6)
+                    .with_max_delta_norm(1e3),
+            );
+        let alg = Taco::new(clients, TacoConfig::paper_default(4, 3));
+        Simulation::new(fed, Box::new(model), Box::new(alg), config).run()
+    })
+}
+
+#[test]
+fn parallel_codec_stage_is_bit_identical_across_thread_counts() {
+    let codecs: Vec<Arc<dyn Compressor>> = match codec_from_env() {
+        Some(c) => vec![c],
+        None => ["q8", "q4", "topk"]
+            .iter()
+            .map(|n| codec_by_name(n).expect("registry name"))
+            .collect(),
+    };
+    // Per round: wire bytes, faults injected, uploads rejected.
+    let counts = |h: &History| -> Vec<(usize, usize, usize)> {
+        h.rounds
+            .iter()
+            .map(|r| (r.upload_bytes, r.faults_injected, r.updates_rejected))
+            .collect()
+    };
+    for codec in &codecs {
+        let reference = wide_codec_run(codec, 1);
+        let rejected = reference.total_updates_rejected();
+        assert!(rejected > 0, "{}: no upload was quarantined", codec.name());
+        assert!(
+            reference
+                .rounds
+                .iter()
+                .any(|r| r.participants.len() > r.updates_rejected),
+            "{}: every upload was quarantined",
+            codec.name()
+        );
+        for threads in [2, 4] {
+            let got = wide_codec_run(codec, threads);
+            let path = format!("{}.wide.t{threads}", codec.name());
+            assert_values_close(&history_value(&reference), &history_value(&got), 0.0, &path);
+            assert_eq!(counts(&reference), counts(&got), "{path}: per-round counts");
         }
     }
 }
